@@ -59,14 +59,19 @@ class PhoenixCursor:
         #: PEP 249: default size of a no-argument fetchmany()
         self.arraysize = 1
         self.closed = False
+        self._state: ResultState | None = None
         self._reset_result()
 
     def _reset_result(self) -> None:
+        # the previous result is unreachable from here on: close it exactly
+        # as close() does, so recovery stops verifying and repositioning it
+        if self._state is not None:
+            self._state.open = False
         self.description: list[tuple] | None = None
         self.rowcount: int = -1
         self.messages: list[str] = []
         self.effective_cursor_type: str = CursorType.FORWARD_ONLY
-        self._state: ResultState | None = None
+        self._state = None
         self._buffer: list[tuple] = []
         self._buffer_pos = 0
         self._done = True

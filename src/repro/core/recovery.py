@@ -89,9 +89,8 @@ class PhoenixRecovery:
         # 1. spurious timeout? (channel still healthy)
         if isinstance(cause, TimeoutError) and not connection.app.channel.broken:
             with tracer.span("recovery.detect"):
-                survived = self._probe_session()
+                survived = self._session_survived()
             if survived:
-                self._repair_private_channel()
                 stats.spurious_timeouts += 1
                 return False
 
@@ -102,8 +101,7 @@ class PhoenixRecovery:
         # timeout fired while the server was merely slow, or only the
         # *private* connection's channel dropped) — repair what broke,
         # keep the session.
-        if not connection.app.channel.broken and self._probe_session():
-            self._repair_private_channel()
+        if not connection.app.channel.broken and self._session_survived():
             stats.spurious_timeouts += 1
             return False
 
@@ -267,6 +265,18 @@ class PhoenixRecovery:
             f"(stmt_seq INT PRIMARY KEY, n_rows INT)"
         )
         connection._reap_server_sessions(old_session_ids)
+
+    def _session_survived(self) -> bool:
+        """Proxy probe, then repair the private channel.  A server that
+        crashes under the repair means the session did not survive after
+        all: the caller goes on to the full rebuild."""
+        if not self._probe_session():
+            return False
+        try:
+            self._repair_private_channel()
+        except RECOVERABLE_ERRORS:
+            return False
+        return True
 
     def _repair_private_channel(self) -> None:
         """The session survived but the private connection's channel may

@@ -12,13 +12,15 @@ stable storage alone.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import CatalogError, TransactionError
 from repro.engine.locks import LockManager, LockMode, LockStats
 from repro.engine.schema import TableSchema
 from repro.engine.storage import StableStorage, TableData
 from repro.engine.table import Table
 from repro.engine.transactions import Transaction, TransactionManager, TxnState
-from repro.engine.wal import LogRecord, RecordType, WalStats, WriteAheadLog
+from repro.engine.wal import LogRecord, RecordType, WalStats, WriteAheadLog, scan_log
 
 __all__ = ["Database"]
 
@@ -26,17 +28,23 @@ _META_CHECKPOINT = "checkpoint_lsn"
 _META_PROCEDURES = "procedures"  # (dict name -> CREATE PROCEDURE sql, snapshot lsn)
 _META_VIEWS = "views"  # (dict name -> CREATE VIEW sql, snapshot lsn)
 _META_INDEXES = "indexes"  # (dict name -> (table, column), snapshot lsn)
-#: time-travel log archive: a list of ``(start_lsn, end_lsn, raw_bytes)``
-#: segments, ascending and non-overlapping.  Truncating the log prefix
-#: would destroy the ability to replay history up to any past cut, so the
-#: truncating (quiescent) checkpoint first copies the bytes it is about to
-#: discard into this archive — extending the last segment when it joins the
-#: live log's base, else opening a new segment.  Reconstruction scans every
-#: segment plus the live log as one record stream; a *gap* between segments
-#: (``end < next start``) is legitimate — it marks history erased by a
-#: ``restore_to`` below the log base — while an *overlap* means the meta is
-#: corrupt (:class:`~repro.errors.TimeTravelError`).
+#: time-travel log archive: a list of ``(start_lsn, end_lsn, raw_bytes,
+#: commits)`` segments, ascending and non-overlapping.  Truncating the log
+#: prefix would destroy the ability to replay history up to any past cut,
+#: so the truncating (quiescent) checkpoint first copies the bytes it is
+#: about to discard into this archive — extending the last segment when it
+#: joins the live log's base, else opening a new segment.  ``commits`` is
+#: the segment's commit index: one packed :data:`_ARCHIVE_COMMIT` entry per
+#: COMMIT record in ``raw_bytes``, written in the same meta update as the
+#: bytes, so a boot rebuilds the log index from it without decoding any
+#: archived record.  Reconstruction scans every segment plus the live log
+#: as one record stream; a *gap* between segments (``end < next start``) is
+#: legitimate — it marks history erased by a ``restore_to`` below the log
+#: base — while an *overlap* means the meta is corrupt
+#: (:class:`~repro.errors.TimeTravelError`).
 _META_TT_ARCHIVE = "timetravel_log_archive"
+#: one archived commit: ``(commit lsn, end offset of its frame, commit_ts)``
+_ARCHIVE_COMMIT = struct.Struct("<qqd")
 
 
 class Database:
@@ -607,24 +615,72 @@ class Database:
         return lsn
 
     def _archive_log_prefix(self, lsn: int) -> None:
-        """Copy the log bytes below ``lsn`` into the time-travel archive
-        before :meth:`checkpoint` truncates them (see ``_META_TT_ARCHIVE``).
-        Restart recovery never reads the archive — only point-in-time
-        reconstruction does — so a crash anywhere in here is harmless."""
+        """Copy the log bytes below ``lsn`` and their commit index into the
+        time-travel archive before :meth:`checkpoint` truncates them (see
+        ``_META_TT_ARCHIVE``).  Restart recovery never reads the archive —
+        only the log-index rebuild and point-in-time reconstruction do — and
+        bytes and index land in one meta write, so a crash anywhere in here
+        is harmless."""
         base = getattr(self.storage, "log_base", 0)
         if lsn <= base:
             return
         segments = list(self.storage.read_meta(_META_TT_ARCHIVE, []) or [])
         chunk = bytes(self.storage.read_log()[: lsn - base])
+        if self.wal.log_index is not None:
+            # the attached index holds every forced commit: no decoding
+            commits = self.wal.log_index.packed(base, lsn)
+        else:
+            # a bare Database (no time-travel manager) keeps no index
+            records = scan_log(chunk, base_offset=base)[0]
+            commits = _pack_commits(_commit_entries(records, lsn))
         if segments and segments[-1][1] == base:
-            start, _end, blob = segments[-1]
-            segments[-1] = (start, lsn, blob + chunk)
+            start, _end, blob, packed = segments[-1]
+            segments[-1] = (start, lsn, blob + chunk, packed + commits)
         else:
             # The archive does not join the live log (a restore_to erased
-            # history below ``base``, or the log was truncated before this
-            # feature existed): open a new segment and keep the gap.
-            segments.append((base, lsn, chunk))
+            # history below ``base``): open a new segment and keep the gap.
+            segments.append((base, lsn, chunk, commits))
         self.storage.write_meta(_META_TT_ARCHIVE, segments)
+
+
+def _commit_entries(records: list[LogRecord], end: int) -> list[tuple]:
+    """``(commit lsn, frame end, commit_ts)`` per COMMIT record of a decoded
+    stretch of log whose last intact frame ends at ``end``."""
+    return [
+        (
+            record.lsn,
+            records[i + 1].lsn if i + 1 < len(records) else end,
+            getattr(record, "commit_ts", None),
+        )
+        for i, record in enumerate(records)
+        if record.type is RecordType.COMMIT
+    ]
+
+
+def _pack_commits(entries) -> bytes:
+    """Pack commit entries as :data:`_ARCHIVE_COMMIT` structs (an unstamped
+    commit packs ts 0.0, which the index rebuild synthesizes like a missing
+    stamp)."""
+    return b"".join(_ARCHIVE_COMMIT.pack(lsn, end, ts or 0.0) for lsn, end, ts in entries)
+
+
+def _trim_archive(storage: StableStorage, cut_end: int) -> None:
+    """Drop archived history at and past ``cut_end`` (a ``restore_to``
+    below the live log's base); a segment's commit index is trimmed with
+    its bytes, in the same meta write."""
+    kept = []
+    for start, end, blob, commits in storage.read_meta(_META_TT_ARCHIVE, []) or []:
+        if start >= cut_end:
+            break
+        if end > cut_end:
+            keep = sum(
+                1 for _lsn, frame_end, _ts in _ARCHIVE_COMMIT.iter_unpack(commits)
+                if frame_end <= cut_end
+            )
+            end, blob = cut_end, blob[: cut_end - start]
+            commits = commits[: keep * _ARCHIVE_COMMIT.size]
+        kept.append((start, end, blob, commits))
+    storage.write_meta(_META_TT_ARCHIVE, kept)
 
 
 def _parse_index_sql(sql_text: str) -> tuple[str, str]:

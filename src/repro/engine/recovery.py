@@ -74,6 +74,10 @@ class RecoveryReport:
         #: garbage bytes a torn tail write left past the last intact frame
         #: (truncated before the database comes up; 0 for a clean log)
         self.torn_tail_bytes: int = 0
+        #: the decoded live log ``(records, good_end)`` — handed to the
+        #: time-travel index rebuild so a boot decodes the log only once
+        #: (the server drops it once the index is built)
+        self.live_log: tuple[list[LogRecord], int] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -131,6 +135,7 @@ def _recover(
     raw = storage.read_log()
     records, good_end = scan_log(raw, base_offset=base)
     report.records_scanned = len(records)
+    report.live_log = (records, good_end)
     report.torn_tail_bytes = base + len(raw) - good_end
     if report.torn_tail_bytes:
         # A torn tail is dead weight *and* a trap: appending after it would

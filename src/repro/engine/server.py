@@ -31,7 +31,7 @@ from repro.errors import (
     SessionLostError,
 )
 from repro.engine.cursors import CursorType, open_cursor
-from repro.engine.database import Database
+from repro.engine.database import Database, _trim_archive
 from repro.engine.dispatch import SessionDispatcher
 from repro.engine.executor import Executor
 from repro.engine.locks import DEFAULT_SERVER_WAIT, LockStats
@@ -232,9 +232,11 @@ class DatabaseServer:
         self._parse_cache = ParseCache() if self.plan_cache_enabled else None
         # wire the new incarnation into time travel: the WAL stamps commits
         # with the manager's (restart-spanning) clock and publishes them to
-        # its index, which is rebuilt here from the durable history
+        # its index, which is rebuilt here from the archived commit index
+        # and the live-log records recovery just decoded
         self.time_travel.attach(self.database)
-        self.time_travel.rebuild()
+        self.time_travel.rebuild(*self.last_recovery.live_log)
+        self.last_recovery.live_log = None
         self.up = True
 
     # ----------------------------------------------------------- lifecycle
@@ -420,17 +422,7 @@ class DatabaseServer:
                 # and trim the archive segments back to the cut (the gap
                 # between archive end and live base is erased history)
                 self.storage.truncate_log_suffix(base)
-                from repro.engine.database import _META_TT_ARCHIVE
-
-                segments = list(self.storage.read_meta(_META_TT_ARCHIVE, []) or [])
-                kept = []
-                for start, end, blob in segments:
-                    if start >= cut_end:
-                        break
-                    if end > cut_end:
-                        end, blob = cut_end, blob[: cut_end - start]
-                    kept.append((start, end, blob))
-                self.storage.write_meta(_META_TT_ARCHIVE, kept)
+                _trim_archive(self.storage, cut_end)
             discarded = self.time_travel.log_index.truncate_to(cut)
             restored = Database(
                 self.storage,

@@ -8,7 +8,8 @@ no full backups needed.  This module is that machine:
   are stamped at *device-force* time (:meth:`WriteAheadLog._flush_commits`),
   so every commit covered by one group force shares one instant and a
   batch is all-or-none under any cut.  The index is volatile and rebuilt
-  from the (archived + live) log at every boot.
+  at every boot from the commit index archived with each log segment plus
+  the live-log records restart recovery already decoded.
 * :func:`reconstruct_at` — replays committed history up to a cut LSN into
   a fresh, throwaway-storage :class:`Database`: the read-only snapshot
   ``SELECT ... AS OF <ts>`` queries run against.
@@ -37,7 +38,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import TimeTravelError
-from repro.engine.database import Database, _META_TT_ARCHIVE
+from repro.engine.database import (
+    _ARCHIVE_COMMIT,
+    _META_TT_ARCHIVE,
+    Database,
+    _commit_entries,
+    _pack_commits,
+)
 from repro.engine.recovery import RecoveryReport, _replay
 from repro.engine.storage import InMemoryStableStorage, StableStorage
 from repro.engine.wal import CommitClock, RecordType, scan_log
@@ -66,6 +73,10 @@ class TimeTravelStats:
     restores_completed: int = 0
     #: committed transactions discarded by restore_to (post-cut history)
     commits_discarded: int = 0
+    #: log records decoded to rebuild the log index at boot — the live log
+    #: only (archived history is indexed without decoding), so this grows
+    #: with the log since the last checkpoint, never with archive size
+    boot_records_decoded: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -80,9 +91,10 @@ class LogIndex:
 
     Entries arrive in LSN order with strictly increasing timestamps (the
     :class:`CommitClock` guarantees it), so both columns are sorted and
-    ``floor`` is a bisect.  Volatile: :meth:`rebuild` rescans storage at
-    boot; :meth:`note_commit` keeps it live afterwards (called by the WAL
-    after each successful device force).
+    ``floor`` is a bisect.  Volatile: :meth:`rebuild` reloads it at boot;
+    :meth:`note_commit` keeps it live afterwards (called by the WAL after
+    each successful device force), and :meth:`packed` hands a checkpoint
+    the entries of the log prefix it archives.
     """
 
     def __init__(self):
@@ -139,27 +151,59 @@ class LogIndex:
                 return self._ends[i]
             return None
 
-    def rebuild(self, storage: StableStorage) -> int:
-        """Re-index every commit in the archived + live log; returns the
-        entry count.  Records missing a stamp (logs written before this
-        feature) get a synthesized monotonic timestamp."""
-        records, _start, ends = full_log_records(storage)
+    def packed(self, lo: int, hi: int) -> bytes:
+        """The commits with ``lo <= lsn < hi`` as packed
+        :data:`~repro.engine.database._ARCHIVE_COMMIT` entries — the index
+        of a log prefix the checkpoint is about to archive."""
+        with self._lock:
+            i = bisect.bisect_left(self._lsns, lo)
+            j = bisect.bisect_left(self._lsns, hi)
+            return _pack_commits(
+                zip(self._lsns[i:j], self._ends[i:j], self._tss[i:j])
+            )
+
+    def rebuild(self, storage: StableStorage, live: list, live_end: int) -> int:
+        """Re-index every commit at boot; returns the entry count.
+
+        Archived history contributes the packed commit index stored with
+        each segment — no archived record is decoded.  The live log
+        contributes the COMMIT records of ``live``, the records restart
+        recovery already decoded from it (``live_end`` is the offset past
+        the last intact frame).  Commits missing a stamp get a synthesized
+        monotonic timestamp, the same one a decode of the full history
+        would give them.
+        """
+        base = getattr(storage, "log_base", 0)
+        segments = storage.read_meta(_META_TT_ARCHIVE, []) or []
+        entries: list[tuple[int, int, float]] = []
+        prev_end = 0
+        for seg_start, seg_end, _blob, commits in segments:
+            _check_segment_order(seg_start, prev_end)
+            entries.extend(_ARCHIVE_COMMIT.iter_unpack(commits))
+            prev_end = seg_end
+        _check_segment_order(base, prev_end)
+        entries.extend(_commit_entries(live, live_end))
         with self._lock:
             self._lsns.clear()
             self._ends.clear()
             self._tss.clear()
             last_ts = 0.0
-            for record, end in zip(records, ends):
-                if record.type is not RecordType.COMMIT:
-                    continue
-                ts = getattr(record, "commit_ts", None)
+            for lsn, end, ts in entries:
                 if ts is None or ts <= last_ts:
                     ts = last_ts + 1e-9
                 last_ts = ts
-                self._lsns.append(record.lsn)
+                self._lsns.append(lsn)
                 self._ends.append(end)
                 self._tss.append(ts)
             return len(self._lsns)
+
+
+def _check_segment_order(seg_start: int, prev_end: int) -> None:
+    if seg_start < prev_end:
+        raise TimeTravelError(
+            f"time-travel archive segments overlap at LSN {seg_start} "
+            f"(previous segment ends at {prev_end}): history is corrupt"
+        )
 
 
 def full_log_records(storage: StableStorage):
@@ -173,16 +217,12 @@ def full_log_records(storage: StableStorage):
     """
     base = getattr(storage, "log_base", 0)
     segments = list(storage.read_meta(_META_TT_ARCHIVE, []) or [])
-    segments.append((base, None, storage.read_log()))  # the live log
+    segments.append((base, None, storage.read_log(), None))  # the live log
     records: list = []
     ends: list[int] = []
     prev_end = 0
-    for seg_start, seg_end, blob in segments:
-        if seg_start < prev_end:
-            raise TimeTravelError(
-                f"time-travel archive segments overlap at LSN {seg_start} "
-                f"(previous segment ends at {prev_end}): history is corrupt"
-            )
+    for seg_start, seg_end, blob, _commits in segments:
+        _check_segment_order(seg_start, prev_end)
         seg_records, good_end = scan_log(blob, base_offset=seg_start)
         for i, record in enumerate(seg_records):
             records.append(record)
@@ -328,11 +368,14 @@ class TimeTravelManager:
         database.wal.clock = self.clock
         database.wal.log_index = self.log_index
 
-    def rebuild(self) -> None:
-        """Boot-time reset: re-index full history, advance the clock past
-        every recovered stamp, drop cached snapshots."""
+    def rebuild(self, live: list, live_end: int) -> None:
+        """Boot-time reset: re-index full history from the archived commit
+        index plus ``live`` (the live-log records restart recovery decoded,
+        intact up to ``live_end``), advance the clock past every recovered
+        stamp, drop cached snapshots."""
         with self._lock:
-            self.log_index.rebuild(self.storage)
+            self.log_index.rebuild(self.storage, live, live_end)
+            self.stats.boot_records_decoded += len(live)
             latest = self.log_index.latest()
             if latest is not None:
                 self.clock.advance_past(latest[2])

@@ -78,6 +78,42 @@ def test_mid_fetch_crash_resumes_at_exact_position(ready):
     assert [r[0] for r in first + rest] == list(range(1, 51))
 
 
+def test_re_executed_cursor_repositions_only_its_last_result(ready):
+    """Re-executing a cursor closes its previous result: a recovery then
+    repositions the one result the application can still read."""
+    from repro.obs import Tracer, use_tracer
+
+    system, conn, cur = ready
+    for low in range(5):
+        cur.execute(f"SELECT k FROM t WHERE k > {low} ORDER BY k")
+        first = cur.fetchmany(3)
+    crash_restart(system)
+    with use_tracer(Tracer(enabled=True)) as tracer:
+        conn.cursor().execute("SELECT 1")
+    repositions = [
+        r for r in tracer.records
+        if r["kind"] == "event" and r["name"] == "recovery.reposition"
+    ]
+    assert [r["attrs"]["table"] for r in repositions] == [cur._state.table]
+    rest = cur.fetchall()
+    assert [r[0] for r in first + rest] == list(range(5, 51))
+
+
+def test_crash_while_repairing_private_channel_during_close(ready):
+    """A dropped private channel during close() sends recovery down the
+    repair path; a crash under the repair must fall through to the full
+    rebuild, so close() still drops every Phoenix object."""
+    system, conn, cur = ready
+    cur.execute("SELECT k FROM t ORDER BY k")
+    cur.fetchmany(5)
+    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "DROP TABLE IF EXISTS phx_")
+    system.faults.schedule_on_sql(FaultKind.FORCE_FAIL, "CREATE TABLE IF NOT EXISTS phx_")
+    conn.close()
+    assert [f.value for f in system.faults.fired] == ["drop_connection", "force_fail"]
+    assert conn.stats.recoveries == 1
+    assert not [n for n in system.server.table_names() if n.startswith("phx_")]
+
+
 def test_double_crash_during_one_result(ready):
     system, conn, cur = ready
     cur.execute("SELECT k FROM t ORDER BY k")

@@ -174,6 +174,48 @@ def test_reconstruct_after_torn_wal_tail(system):
     assert len(_rows(system, f"SELECT * FROM t AS OF {_now(system)!r}")) == 4
 
 
+def _restart_after_history(checkpoints: int, monkeypatch):
+    """Build ``checkpoints`` archived segments of history, then the same
+    live-log tail; crash and restart with every archived-record decoder
+    out of reach.  Returns (records the boot decoded, recovery report,
+    index size)."""
+    from repro.engine import timetravel
+
+    system = repro.make_system()
+    _run(system, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    for c in range(checkpoints):
+        _run(system, *(f"INSERT INTO t VALUES ({c * 10 + i}, {i})" for i in range(5)))
+        system.server.checkpoint()  # archives + truncates the log prefix
+    _run(system, *(f"INSERT INTO t VALUES ({1000 + i}, {i})" for i in range(3)))
+    stats = system.server.time_travel.stats
+    before = stats.boot_records_decoded
+    system.server.crash()
+
+    def no_archive_scan(_storage):
+        raise AssertionError("boot decoded archived history")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(timetravel, "full_log_records", no_archive_scan)
+        report = system.server.restart()
+    return (
+        stats.boot_records_decoded - before,
+        report,
+        len(system.server.time_travel.log_index),
+    )
+
+
+def test_boot_decodes_the_live_log_once_and_no_archived_record(monkeypatch):
+    short_decoded, short_report, short_cuts = _restart_after_history(1, monkeypatch)
+    long_decoded, long_report, long_cuts = _restart_after_history(20, monkeypatch)
+    # the index rebuild reuses the records restart recovery decoded
+    assert short_decoded == short_report.records_scanned > 0
+    assert long_decoded == long_report.records_scanned
+    # twenty times the archived history costs the boot nothing more...
+    assert long_decoded == short_decoded
+    # ...yet every archived commit is indexed
+    assert long_cuts == short_cuts + 19 * 5
+
+
 # ------------------------------------------------------------- SQL surface
 
 
