@@ -169,7 +169,6 @@ def make_system(
     dsn: str = "main",
     config: PhoenixConfig | None = None,
     plan_cache: bool = True,
-    executor: str = "compiled",
     registry: MetricsRegistry | None = None,
     listen: str | None = None,
     transport: str = "auto",
@@ -179,10 +178,6 @@ def make_system(
     ``storage`` defaults to in-memory stable storage (instant crashes); pass
     a :class:`FileStableStorage` for on-disk durability.  ``plan_cache``
     toggles the server's parse/plan caches (the bench ablation's knob).
-    ``executor`` selects the SELECT pipeline: ``"compiled"`` (default) runs
-    the vectorized executor — row-closure pipeline, range-aware index
-    probes, index-ordered top-k — while ``"interpreted"`` keeps the
-    per-row-environment baseline (the executor ablation's knob).
     ``registry`` lets a caller supply its own :class:`MetricsRegistry`; by
     default each system gets a fresh one adopting the server's engine
     counters and the driver's network counters, so
@@ -202,7 +197,6 @@ def make_system(
     server = DatabaseServer(
         storage,
         plan_cache=plan_cache,
-        executor=executor,
         engine_metrics=registry.engine,
         executor_stats=registry.executor,
         wal_stats=registry.wal,
@@ -283,7 +277,6 @@ def connect(
     user: str = "app",
     options: dict | None = None,
     config: PhoenixConfig | None = None,
-    persistent: bool | None = None,
 ):
     """Open a database session — the PEP 249 ``connect`` entry point.
 
@@ -298,17 +291,12 @@ def connect(
     crash-exposed :class:`Connection` — the baseline the paper compares
     against.
 
-    ``persistent`` is the pre-DB-API spelling of the same switch and wins
-    when given (kept for existing callers).
-
     DB-API deviation (documented, deliberate): sessions start in
     *autocommit* mode like the ODBC stack the paper wraps; ``commit()`` /
     ``rollback()`` require an explicit ``begin()`` (or ``BEGIN
     TRANSACTION``) and raise :class:`~repro.errors.ProgrammingError`
     otherwise, rather than silently pretending a transaction existed.
     """
-    if persistent is not None:
-        phoenix = persistent
     if isinstance(dsn, System):
         system = dsn
     elif dsn.startswith("tcp://"):

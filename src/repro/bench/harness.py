@@ -36,9 +36,6 @@ __all__ = [
     "run_availability_experiment",
     "PlanCacheRun",
     "run_plan_cache_ablation",
-    "ExecutorRun",
-    "executor_speedup",
-    "run_executor_ablation",
     "WireBatchRun",
     "WireBatchResult",
     "run_wire_batch",
@@ -54,9 +51,6 @@ __all__ = [
     "run_concurrency",
     "ContentionRow",
     "run_contention",
-    "contention_speedup",
-    "RestartBreakdownRow",
-    "run_restart_breakdown",
     "PlannedRestartResult",
     "run_planned_restart",
     "TimeTravelReconstructRow",
@@ -540,212 +534,6 @@ def run_plan_cache_ablation(
             PlanCacheRun(
                 "phoenix_trace", "on" if cache_on else "off", cell["seconds"],
                 cell["statements"], cell["fingerprint"], cell["metrics"],
-            )
-        )
-    return runs
-
-
-# ========================================================= executor ablation
-
-
-@dataclass
-class ExecutorRun:
-    """One (workload, executor mode) cell of the executor ablation."""
-
-    workload: str  # "range_topk" | "tpch_power"
-    executor: str  # "compiled" | "interpreted"
-    seconds: float
-    statements: int
-    #: order-sensitive hash over every result set — identical across
-    #: executor modes iff the vectorized path changed nothing observable
-    fingerprint: int
-    #: ExecutorStats.snapshot() taken after the workload
-    counters: dict[str, int]
-
-    @property
-    def statements_per_second(self) -> float:
-        return self.statements / self.seconds if self.seconds > 0 else float("inf")
-
-
-def executor_speedup(runs: list[ExecutorRun], workload: str) -> float:
-    """interpreted seconds / compiled seconds for one workload (∞ if absent)."""
-    by_mode = {r.executor: r for r in runs if r.workload == workload}
-    compiled, interpreted = by_mode.get("compiled"), by_mode.get("interpreted")
-    if compiled is None or interpreted is None or compiled.seconds <= 0:
-        return float("inf")
-    return interpreted.seconds / compiled.seconds
-
-
-def run_executor_ablation(
-    *,
-    sf: float = 0.001,
-    repetitions: int = 3,
-    seed: int = 42,
-    rows: int = 2000,
-    loops: int = 3,
-    timing_trials: int = 4,
-    queries: list[str] | None = None,
-) -> list[ExecutorRun]:
-    """The executor ablation: identical workloads under the compiled
-    (vectorized) executor vs the interpreted per-row baseline.
-
-    Two workloads, matching how the vectorized executor earns its keep:
-
-    * ``range_topk`` — the access-path workload: narrow range selections,
-      BETWEEN, and ORDER BY ... LIMIT over an indexed column of a
-      ``rows``-row table.  The compiled side serves these via ordered-index
-      range probes and index-ordered top-k streaming; the interpreted side
-      full-scans and materialize-then-sorts.  This is where the ordered
-      indexes themselves are the speedup.
-    * ``tpch_power`` — the Table 1 power loop re-run per executor mode,
-      with ordered indexes on the date columns the selected queries filter
-      by (``l_shipdate``, ``o_orderdate`` — same DDL on both sides; the
-      interpreted baseline only ever uses equality probes, so the indexes
-      sit idle there, exactly the PR-8 state).  This is where the compiled
-      row pipeline shows up on analytic SQL.
-
-    Both workloads are read-only, so they use the same interleaved ABBA
-    best-of-``timing_trials`` discipline as :func:`run_plan_cache_ablation`
-    (adjacent trials, per-side minimum) to cancel process drift.  The
-    fingerprints double as the correctness guard: if the two modes ever
-    disagree on a single row, the speedup is meaningless — callers (and
-    CI's bench-smoke) must check ``fingerprint`` equality per workload.
-
-    Returns one :class:`ExecutorRun` per (workload, mode) cell.
-    """
-    from repro.workloads.tpch.queries import query_sql
-
-    selected = queries if queries is not None else ["Q1", "Q3", "Q6", "Q12", "Q14"]
-    modes = ("compiled", "interpreted")
-    runs: list[ExecutorRun] = []
-    trials = max(2, timing_trials + (timing_trials % 2))
-
-    # -- range/top-k workload over an indexed table ---------------------------
-    values = rows // 2  # two rows per distinct indexed value
-    window = max(1, values // 50)  # ~2% selectivity per range query
-    range_sql: list[str] = []
-    for i in range(8):
-        low = (i * 131) % (values - window)
-        range_sql += [
-            f"SELECT k, v FROM events WHERE v >= {low} AND v < {low + window} ORDER BY k",
-            f"SELECT k FROM events WHERE v BETWEEN {low} AND {low + window} ORDER BY k",
-            f"SELECT k, v FROM events WHERE v > {values - window} ORDER BY v LIMIT 10",
-            "SELECT k, v FROM events ORDER BY v LIMIT 10",
-            "SELECT k, v FROM events ORDER BY v DESC LIMIT 10",
-            f"SELECT k FROM events WHERE v = {low}",
-        ]
-
-    cells: dict[str, dict] = {}
-    for mode in modes:
-        system = repro.make_system(executor=mode)
-        session = system.server.connect(user="loader")
-        system.server.execute(
-            session,
-            "CREATE TABLE events (k INT PRIMARY KEY, v INT, grp INT, label VARCHAR(12))",
-        )
-        for start in range(0, rows, 500):
-            chunk = ", ".join(
-                f"({k}, {k % values}, {k % 13}, 'label_{k % 7}')"
-                for k in range(start, min(start + 500, rows))
-            )
-            system.server.execute(session, f"INSERT INTO events VALUES {chunk}")
-        system.server.execute(session, "CREATE INDEX bench_events_v ON events (v)")
-        system.server.disconnect(session)
-        connection = system.plain.connect(system.DSN)
-        cells[mode] = {
-            "system": system,
-            "connection": connection,
-            "cursor": connection.cursor(),
-            "seconds": float("inf"),
-            "fingerprint": 0,
-            "statements": 0,
-        }
-
-    def _range_loop(cell: dict) -> None:
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for _ in range(loops):
-            for sql in range_sql:
-                cell["cursor"].execute(sql)
-                fingerprint = _fold_fingerprint(fingerprint, sql, cell["cursor"].fetchall())
-                statements += 1
-        cell["seconds"] = min(cell["seconds"], time.perf_counter() - started)
-        cell["fingerprint"] = fingerprint  # read-only: same every trial
-        cell["statements"] = statements
-
-    for mode in modes:  # untimed warm-up (plans go hot, drift absorbed)
-        _range_loop(cells[mode])
-        cells[mode]["seconds"] = float("inf")
-        cells[mode]["system"].registry.executor.reset()
-    for trial in range(trials):
-        order = modes if trial % 2 == 0 else modes[::-1]
-        for mode in order:
-            _range_loop(cells[mode])
-    for mode in modes:
-        cell = cells[mode]
-        cell["connection"].close()
-        runs.append(
-            ExecutorRun(
-                "range_topk", mode, cell["seconds"], cell["statements"],
-                cell["fingerprint"], cell["system"].registry.executor.snapshot(),
-            )
-        )
-
-    # -- TPC-H power loop per executor mode -----------------------------------
-    cells = {}
-    for mode in modes:
-        system = repro.make_system(executor=mode)
-        data = populate(system, sf=sf, seed=seed)
-        session = system.server.connect(user="loader")
-        system.server.execute(
-            session, "CREATE INDEX bench_l_shipdate ON lineitem (l_shipdate)"
-        )
-        system.server.execute(
-            session, "CREATE INDEX bench_o_orderdate ON orders (o_orderdate)"
-        )
-        system.server.disconnect(session)
-        connection = system.plain.connect(system.DSN)
-        cells[mode] = {
-            "system": system,
-            "connection": connection,
-            "cursor": connection.cursor(),
-            "sf": data.sf,
-            "seconds": float("inf"),
-            "fingerprint": 0,
-            "statements": 0,
-        }
-
-    def _power_loop(cell: dict) -> None:
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for _ in range(repetitions):
-            for query_id in selected:
-                cell["cursor"].execute(query_sql(query_id, cell["sf"]))
-                fingerprint = _fold_fingerprint(
-                    fingerprint, query_id, cell["cursor"].fetchall()
-                )
-                statements += 1
-        cell["seconds"] = min(cell["seconds"], time.perf_counter() - started)
-        cell["fingerprint"] = fingerprint
-        cell["statements"] = statements
-
-    for mode in modes:
-        _power_loop(cells[mode])
-        cells[mode]["seconds"] = float("inf")
-        cells[mode]["system"].registry.executor.reset()
-    for trial in range(trials):
-        order = modes if trial % 2 == 0 else modes[::-1]
-        for mode in order:
-            _power_loop(cells[mode])
-    for mode in modes:
-        cell = cells[mode]
-        cell["connection"].close()
-        runs.append(
-            ExecutorRun(
-                "tpch_power", mode, cell["seconds"], cell["statements"],
-                cell["fingerprint"], cell["system"].registry.executor.snapshot(),
             )
         )
     return runs
@@ -1531,10 +1319,8 @@ class ContentionRow:
     """One (scenario, client count) point of the lock-contention experiment.
 
     Scenarios: ``hot_row_locks`` — every client updates its own key of one
-    shared table under row-granularity locking; ``hot_table_locks`` — the
-    identical workload with ``LockManager.row_locking`` forced off (the
-    pre-row-locking whole-table baseline); ``disjoint`` — each client gets
-    its own table (the no-contention upper bound).
+    shared table under row-granularity locking; ``disjoint`` — each client
+    gets its own table (the no-contention upper bound).
     """
 
     scenario: str
@@ -1550,22 +1336,6 @@ class ContentionRow:
         if self.seconds <= 0:
             return float("nan")
         return self.operations / self.seconds
-
-
-def contention_speedup(rows: list[ContentionRow], clients: int) -> float:
-    """hot-table-baseline seconds / hot-row seconds at one client count —
-    how much the row locks buy on the contended workload."""
-    row_locks = next(
-        (r for r in rows if r.scenario == "hot_row_locks" and r.clients == clients),
-        None,
-    )
-    table_locks = next(
-        (r for r in rows if r.scenario == "hot_table_locks" and r.clients == clients),
-        None,
-    )
-    if row_locks is None or table_locks is None or row_locks.seconds <= 0:
-        return float("nan")
-    return table_locks.seconds / row_locks.seconds
 
 
 @dataclass
@@ -1604,20 +1374,6 @@ class ConcurrencyResult:
         if serial is None or parallel is None or serial.seconds <= 0:
             return float("nan")
         return parallel.seconds / serial.seconds
-
-    def hot_speedup(self, clients: int) -> float:
-        return contention_speedup(self.contention, clients)
-
-    @property
-    def contention_fingerprints_match(self) -> bool:
-        """The identical hot workload under row locks vs table locks must
-        leave identical durable state (disjoint uses different tables and
-        is excluded)."""
-        by_clients: dict[int, set] = {}
-        for r in self.contention:
-            if r.scenario in ("hot_row_locks", "hot_table_locks"):
-                by_clients.setdefault(r.clients, set()).add(r.fingerprint)
-        return all(len(prints) <= 1 for prints in by_clients.values())
 
     @property
     def throughput_fingerprints_match(self) -> bool:
@@ -1658,7 +1414,7 @@ def run_contention(
     rounds: int = 6,
     ops_per_txn: int = 4,
     latency: float = 0.002,
-    scenarios: tuple[str, ...] = ("hot_row_locks", "hot_table_locks", "disjoint"),
+    scenarios: tuple[str, ...] = ("hot_row_locks", "disjoint"),
 ) -> list[ContentionRow]:
     """The hot-table lock-contention experiment.
 
@@ -1666,17 +1422,13 @@ def run_contention(
     UPDATEs against **its own key** — so there is no logical conflict, only
     lock-granularity conflict.  The transaction is held open across
     ``ops_per_txn`` wire round-trips (each paying ``latency``), which is
-    exactly the shape where lock granularity matters: under whole-table
-    locking the first UPDATE takes the table X lock and every other
-    client's transaction queues behind the commit; under row locking the
-    clients hold compatible IX table locks plus X locks on their own rows
-    and overlap fully.  ``disjoint`` (a private table per client) is the
-    no-contention upper bound.
+    exactly the shape where lock granularity matters: the clients hold
+    compatible IX table locks plus X locks on their own rows and overlap
+    fully, so the hot scenario records no lock waits.  ``disjoint`` (a
+    private table per client) is the no-contention upper bound.
 
-    The hot workload is byte-identical between ``hot_row_locks`` and
-    ``hot_table_locks`` (only ``LockManager.row_locking`` differs), so
-    their durable fingerprints must match — serialization order cannot
-    matter because clients touch disjoint keys.
+    Every key must end with ``v == rounds * ops_per_txn`` (a lost or
+    doubled update raises).
     """
     import threading
 
@@ -1705,10 +1457,6 @@ def run_contention(
                         loader, f"INSERT INTO hot_bench VALUES ({i}, 0.0)"
                     )
             system.server.disconnect(loader)
-            if scenario == "hot_table_locks":
-                # the ablation baseline: every row request degrades to its
-                # whole-table lock (the pre-row-locking design)
-                system.server.database.locks.row_locking = False
 
             connections = [
                 system.phoenix.connect(system.DSN, user=f"hot{i}")
@@ -1761,6 +1509,15 @@ def run_contention(
                 data = system.server.execute(
                     verifier, f"SELECT k, v FROM {table} ORDER BY k"
                 )
+                wrong = [
+                    row for row in data.result_set.rows
+                    if row[1] != rounds * ops_per_txn
+                ]
+                if wrong:
+                    raise RuntimeError(
+                        f"contention {scenario}/{clients} clients: lost or "
+                        f"doubled updates in {table}: {wrong}"
+                    )
                 fingerprint = _fold_fingerprint(
                     fingerprint, table, data.result_set.rows
                 )
@@ -1982,174 +1739,7 @@ def run_concurrency(
         ops_per_txn=contention_ops_per_txn,
         latency=latency,
     )
-    if not result.contention_fingerprints_match:
-        raise RuntimeError(
-            "contention: hot-table durable state diverged between row-lock "
-            "and table-lock modes: "
-            + ", ".join(
-                f"{r.scenario}/k={r.clients}={r.fingerprint}"
-                for r in result.contention
-                if r.scenario != "disjoint"
-            )
-        )
     return result
-
-
-# ============================================================ restart breakdown
-
-
-@dataclass
-class RestartBreakdownRow:
-    """One restart configuration: REDO-only vs. undo-walking restart time.
-
-    ``fast_seconds`` / ``undo_seconds`` are best-of-``trials`` wall times for
-    ``recover(..., fast_restart=True/False)`` over byte-identical storage
-    (rebuilt deterministically per trial — recovery appends closing ABORT
-    records, so storage cannot be reused across trials).
-    """
-
-    committed_txns: int
-    losers: int
-    ops_per_txn: int
-    checkpoint: bool
-    log_records: int
-    fast_seconds: float
-    undo_seconds: float
-    fast_skipped: int
-    fingerprint: int
-    fingerprints_match: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.fast_seconds <= 0:
-            return float("nan")
-        return self.undo_seconds / self.fast_seconds
-
-
-def _restart_storage(
-    committed_txns: int, losers: int, ops_per_txn: int, checkpoint: bool
-):
-    """Deterministic stable storage for one restart configuration.
-
-    ``committed_txns`` transactions each insert ``ops_per_txn`` rows into
-    ``restart_bench`` and commit.  Then (optionally) a quiescent checkpoint —
-    quiescent so the undo-walking baseline stays correct (no checkpoint
-    overlaps an active transaction) and the modes stay comparable.  Then
-    ``losers`` transactions each update a disjoint slice of ``ops_per_txn``
-    existing rows and are left open at the crash — the undo work the
-    REDO-only restart never does.
-    """
-    from repro.engine.database import Database
-    from repro.engine.schema import Column, TableSchema
-    from repro.engine.storage import InMemoryStableStorage
-    from repro.engine.values import SqlType
-
-    if losers * ops_per_txn > committed_txns * ops_per_txn:
-        raise ValueError("need at least as many committed txns as losers")
-    database = Database(InMemoryStableStorage())
-    setup = database.begin()
-    database.create_table(
-        setup,
-        TableSchema(
-            "restart_bench",
-            (Column("k", SqlType.INT, not_null=True), Column("v", SqlType.VARCHAR)),
-            primary_key=("k",),
-        ),
-    )
-    database.commit(setup)
-    key = 0
-    for _ in range(committed_txns):
-        txn = database.begin()
-        for _ in range(ops_per_txn):
-            database.insert_row(txn, "restart_bench", [key, f"v{key}"])
-            key += 1
-        database.commit(txn)
-    if checkpoint:
-        database.checkpoint()
-    for loser in range(losers):
-        txn = database.begin()
-        base = loser * ops_per_txn
-        for offset in range(ops_per_txn):
-            rowid = base + offset + 1  # rowids are assigned from 1 in order
-            database.update_row(
-                txn, "restart_bench", rowid, [base + offset, "dirty"]
-            )
-        # left open: this transaction dies with the crash
-    database.wal.force()
-    return database.storage
-
-
-def _restart_fingerprint(database) -> int:
-    table = database.get_table("restart_bench")
-    rows = [table.data.rows[rowid] for rowid in sorted(table.data.rows)]
-    return _fold_fingerprint(0, "restart_bench", rows)
-
-
-def run_restart_breakdown(
-    *,
-    grid: tuple[tuple[int, int, bool], ...] = (
-        (100, 0, False),
-        (100, 16, False),
-        (100, 64, False),
-        (100, 16, True),
-        (100, 64, True),
-    ),
-    ops_per_txn: int = 4,
-    trials: int = 5,
-) -> list[RestartBreakdownRow]:
-    """The REDO-only restart ablation (tentpole benchmark).
-
-    For each ``(committed_txns, losers, checkpoint)`` configuration, time
-    ``recover()`` with ``fast_restart=True`` (REDO-only: winners replayed
-    forward, losers skipped wholesale) against ``fast_restart=False`` (the
-    prior design: redo everything, then walk losers' records backwards
-    applying undo images).  Both modes must produce the same recovered
-    table fingerprint; each timing is the best of ``trials`` runs over
-    freshly rebuilt storage.
-    """
-    from repro.engine.recovery import recover
-
-    rows: list[RestartBreakdownRow] = []
-    for committed, losers, checkpoint in grid:
-        timings: dict[bool, float] = {}
-        fingerprints: dict[bool, int] = {}
-        log_records = 0
-        fast_skipped = 0
-        for fast in (True, False):
-            best = float("inf")
-            for _ in range(trials):
-                storage = _restart_storage(committed, losers, ops_per_txn, checkpoint)
-                started = time.perf_counter()
-                database, report = recover(storage, fast_restart=fast)
-                elapsed = time.perf_counter() - started
-                best = min(best, elapsed)
-                fingerprints[fast] = _restart_fingerprint(database)
-                if fast:
-                    log_records = report.records_scanned
-                    fast_skipped = report.records_skipped
-            timings[fast] = best
-        match = fingerprints[True] == fingerprints[False]
-        if not match:
-            raise RuntimeError(
-                f"restart breakdown ({committed} committed, {losers} losers, "
-                f"checkpoint={checkpoint}): REDO-only and undo-walking "
-                f"recovery diverged: {fingerprints[True]} != {fingerprints[False]}"
-            )
-        rows.append(
-            RestartBreakdownRow(
-                committed_txns=committed,
-                losers=losers,
-                ops_per_txn=ops_per_txn,
-                checkpoint=checkpoint,
-                log_records=log_records,
-                fast_seconds=timings[True],
-                undo_seconds=timings[False],
-                fast_skipped=fast_skipped,
-                fingerprint=fingerprints[True],
-                fingerprints_match=match,
-            )
-        )
-    return rows
 
 
 # ================================================================== time travel

@@ -5,12 +5,10 @@ Usage::
     python -m repro.bench.reporting table1 [--sf 0.001] [--reps 3]
     python -m repro.bench.reporting fig2
     python -m repro.bench.reporting plancache --json BENCH_plan_cache.json
-    python -m repro.bench.reporting executor --json BENCH_executor.json
     python -m repro.bench.reporting wirebatch --json BENCH_wire_batch.json
     python -m repro.bench.reporting obs_overhead --json BENCH_obs_overhead.json
     python -m repro.bench.reporting recovery_breakdown
     python -m repro.bench.reporting concurrency --json BENCH_concurrency.json
-    python -m repro.bench.reporting restart --json BENCH_restart.json
     python -m repro.bench.reporting plannedrestart --json BENCH_planned_restart.json
     python -m repro.bench.reporting timetravel --json BENCH_time_travel.json
     python -m repro.bench.reporting tcp --json BENCH_tcp.json
@@ -36,28 +34,23 @@ from repro.bench.harness import (
     AvailabilityResult,
     ChaosResult,
     ConcurrencyResult,
-    ExecutorRun,
     Fig2Series,
     ObsOverheadResult,
     PlanCacheRun,
     PlannedRestartResult,
     RecoveryBreakdownRow,
-    RestartBreakdownRow,
     Table1Row,
     TcpServingResult,
     TimeTravelResult,
     WireBatchResult,
-    executor_speedup,
     run_availability_experiment,
     run_chaos_experiment,
     run_concurrency,
-    run_executor_ablation,
     run_fig2_recovery_sweep,
     run_obs_overhead,
     run_plan_cache_ablation,
     run_planned_restart,
     run_recovery_breakdown,
-    run_restart_breakdown,
     run_table1_power_comparison,
     run_tcp_serving,
     run_time_travel,
@@ -69,13 +62,11 @@ __all__ = [
     "render_fig2",
     "render_availability",
     "render_plan_cache",
-    "render_executor",
     "render_wire_batch",
     "render_chaos",
     "render_obs_overhead",
     "render_recovery_breakdown",
     "render_concurrency",
-    "render_restart_breakdown",
     "render_planned_restart",
     "render_time_travel",
     "render_tcp_serving",
@@ -163,40 +154,6 @@ def render_plan_cache(runs: list[PlanCacheRun]) -> str:
     return "\n".join(lines)
 
 
-def render_executor(runs: list[ExecutorRun]) -> str:
-    """The executor ablation: compiled/vectorized vs interpreted baseline."""
-    lines = [
-        "Ablation. Vectorized executor vs interpreted baseline",
-        f"{'Workload':12} {'Executor':>12} {'Seconds':>9} {'Stmts':>6} {'Stmt/s':>9} "
-        f"{'Scanned':>9} {'Returned':>9} {'EqProbe':>8} {'Range':>6} {'TopK':>5}",
-    ]
-    for run in runs:
-        lines.append(
-            f"{run.workload:12} {run.executor:>12} {run.seconds:>9.4f} "
-            f"{run.statements:>6} {run.statements_per_second:>9.1f} "
-            f"{run.counters['rows_scanned']:>9} {run.counters['rows_returned']:>9} "
-            f"{run.counters['index_eq_probes']:>8} "
-            f"{run.counters['index_range_scans']:>6} "
-            f"{run.counters['topk_shortcuts']:>5}"
-        )
-    by_cell = {(r.workload, r.executor): r for r in runs}
-    for workload in dict.fromkeys(r.workload for r in runs):
-        compiled = by_cell.get((workload, "compiled"))
-        interpreted = by_cell.get((workload, "interpreted"))
-        if compiled is None or interpreted is None:
-            continue
-        match = (
-            "identical"
-            if compiled.fingerprint == interpreted.fingerprint
-            else "MISMATCH"
-        )
-        lines.append(
-            f"{workload}: speedup {executor_speedup(runs, workload):.2f}x, "
-            f"results {match}"
-        )
-    return "\n".join(lines)
-
-
 def render_wire_batch(result: WireBatchResult) -> str:
     """Experiment WB: wire batching + group commit vs one trip per DML."""
     lines = [
@@ -277,29 +234,6 @@ def render_recovery_breakdown(rows: list[RecoveryBreakdownRow]) -> str:
             f"{row.mean_await_ms:>11.3f} {row.mean_phase1_ms:>12.3f} "
             f"{row.mean_phase2_ms:>12.3f} {row.mean_total_ms:>11.3f}"
         )
-    return "\n".join(lines)
-
-
-def render_restart_breakdown(rows: list[RestartBreakdownRow]) -> str:
-    """Experiment RS: REDO-only restart vs the undo-walking baseline."""
-    lines = [
-        "Experiment RS. REDO-only restart vs undo-walking recovery",
-        f"{'Committed':>10} {'Losers':>7} {'Ckpt':>5} {'Log recs':>9} "
-        f"{'Skipped':>8} {'Fast (ms)':>10} {'Undo (ms)':>10} {'Speedup':>8}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.committed_txns:>10} {row.losers:>7} "
-            f"{'yes' if row.checkpoint else 'no':>5} {row.log_records:>9} "
-            f"{row.fast_skipped:>8} {row.fast_seconds * 1e3:>10.3f} "
-            f"{row.undo_seconds * 1e3:>10.3f} {row.speedup:>7.2f}x"
-        )
-    match = (
-        "identical"
-        if all(row.fingerprints_match for row in rows)
-        else "MISMATCH"
-    )
-    lines.append(f"recovered state fast vs undo-walking: {match}")
     return "\n".join(lines)
 
 
@@ -450,13 +384,6 @@ def render_concurrency(result: ConcurrencyResult, chaos: dict | None = None) -> 
                 f"{row.seconds:>9.3f} {row.ops_per_second:>8.1f} "
                 f"{row.lock_waits:>6} {row.lock_wait_seconds:>9.3f}"
             )
-        for clients in sorted({row.clients for row in result.contention}):
-            lines.append(
-                f"row-lock speedup over table locks at {clients} clients: "
-                f"{result.hot_speedup(clients):.2f}x"
-            )
-        match = "identical" if result.contention_fingerprints_match else "MISMATCH"
-        lines.append(f"durable state row locks vs table locks: {match}")
     if chaos is not None:
         lines.append("")
         lines.append("Multi-client crash sweep (per-client exactly-once oracle)")
@@ -508,7 +435,6 @@ def _concurrency_json(result: ConcurrencyResult, chaos: dict | None = None) -> d
         },
         "contention_rounds": result.contention_rounds,
         "contention_ops_per_txn": result.contention_ops_per_txn,
-        "contention_fingerprints_match": result.contention_fingerprints_match,
         "contention": [
             {
                 "scenario": row.scenario,
@@ -522,10 +448,6 @@ def _concurrency_json(result: ConcurrencyResult, chaos: dict | None = None) -> d
             }
             for row in result.contention
         ],
-        "hot_speedups": {
-            str(clients): result.hot_speedup(clients)
-            for clients in sorted({row.clients for row in result.contention})
-        },
     }
     if chaos is not None:
         out["multi_client_chaos"] = {str(k): cell for k, cell in chaos.items()}
@@ -603,25 +525,6 @@ def _tcp_serving_json(result: TcpServingResult) -> dict:
         "overhead_ratio": result.overhead_ratio,
         "fingerprints_match": result.fingerprints_match,
     }
-
-
-def _restart_breakdown_json(rows: list[RestartBreakdownRow]) -> list[dict]:
-    return [
-        {
-            "committed_txns": row.committed_txns,
-            "losers": row.losers,
-            "ops_per_txn": row.ops_per_txn,
-            "checkpoint": row.checkpoint,
-            "log_records": row.log_records,
-            "fast_skipped": row.fast_skipped,
-            "fast_seconds": row.fast_seconds,
-            "undo_seconds": row.undo_seconds,
-            "speedup": row.speedup,
-            "fingerprint": row.fingerprint,
-            "fingerprints_match": row.fingerprints_match,
-        }
-        for row in rows
-    ]
 
 
 def _obs_overhead_json(result: ObsOverheadResult) -> dict:
@@ -712,21 +615,6 @@ def _plan_cache_json(runs: list[PlanCacheRun]) -> list[dict]:
     ]
 
 
-def _executor_json(runs: list[ExecutorRun]) -> list[dict]:
-    return [
-        {
-            "workload": run.workload,
-            "executor": run.executor,
-            "seconds": run.seconds,
-            "statements": run.statements,
-            "statements_per_second": run.statements_per_second,
-            "fingerprint": run.fingerprint,
-            "counters": run.counters,
-        }
-        for run in runs
-    ]
-
-
 def _table1_json(rows: list[Table1Row]) -> list[dict]:
     return [
         {
@@ -777,13 +665,11 @@ def main(argv: list[str] | None = None) -> int:
             "fig2",
             "availability",
             "plancache",
-            "executor",
             "wirebatch",
             "chaos",
             "obs_overhead",
             "recovery_breakdown",
             "concurrency",
-            "restart",
             "plannedrestart",
             "timetravel",
             "tcp",
@@ -803,23 +689,11 @@ def main(argv: list[str] | None = None) -> int:
         "--trials", type=int, default=3, help="wirebatch: trials per mode"
     )
     parser.add_argument(
-        "--restart-trials",
-        type=int,
-        default=5,
-        help="restart: timing trials per mode and configuration",
-    )
-    parser.add_argument(
         "--contention-rounds",
         type=int,
         default=6,
         help="concurrency: explicit transactions per client in the "
         "hot-table contention scenarios",
-    )
-    parser.add_argument(
-        "--executor-rows",
-        type=int,
-        default=2000,
-        help="executor: rows in the range/top-k ablation table",
     )
     parser.add_argument(
         "--json",
@@ -849,12 +723,6 @@ def main(argv: list[str] | None = None) -> int:
         runs = run_plan_cache_ablation(sf=args.sf, repetitions=args.reps)
         print(render_plan_cache(runs))
         payload["plancache"] = _plan_cache_json(runs)
-    if args.artifact in ("executor", "all"):
-        executor_runs = run_executor_ablation(
-            sf=args.sf, repetitions=args.reps, rows=args.executor_rows
-        )
-        print(render_executor(executor_runs))
-        payload["executor"] = _executor_json(executor_runs)
     if args.artifact in ("wirebatch", "all"):
         wire_batch = run_wire_batch(
             rows=args.rows, batch_size=args.batch_size, trials=args.trials
@@ -880,10 +748,6 @@ def main(argv: list[str] | None = None) -> int:
         chaos_sweep = sweep_multi((1, 4, 16))
         print(render_concurrency(concurrency, chaos_sweep))
         payload["concurrency"] = _concurrency_json(concurrency, chaos_sweep)
-    if args.artifact in ("restart", "all"):
-        restart = run_restart_breakdown(trials=args.restart_trials)
-        print(render_restart_breakdown(restart))
-        payload["restart"] = _restart_breakdown_json(restart)
     if args.artifact in ("plannedrestart", "all"):
         planned = run_planned_restart()
         print(render_planned_restart(planned))

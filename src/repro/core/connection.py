@@ -20,7 +20,6 @@ paper only protects against *server* failures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -233,27 +232,6 @@ class PhoenixConnection:
 
         return PhoenixCursor(self)
 
-    def set_option(self, name: str, value: Any) -> None:
-        """Deprecated spelling of ``cursor().execute("SET name value")`` —
-        kept because existing applications call it; new code should issue
-        the SQL (it is recorded for replay either way)."""
-        warnings.warn(
-            "PhoenixConnection.set_option is deprecated; "
-            "execute 'SET <name> <value>' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._set_option(name, value)
-
-    def _set_option(self, name: str, value: Any) -> None:
-        """Record and forward a connection option (statement 1 of the
-        paper's example session: session context Phoenix must replay)."""
-        self._require_open()
-        self.set_log.append((name, value))
-        rendered = value if isinstance(value, (int, float)) else f"'{value}'"
-        with get_tracer().span("session.set_option", corr=self.correlation_id, option=name):
-            self._app_execute(f"SET {name} {rendered}")
-
     def begin(self) -> None:
         self.handle_begin()
 
@@ -269,15 +247,14 @@ class PhoenixConnection:
         terminated, Phoenix/ODBC cleans up all persistent structures")."""
         if self.closed:
             return
-        # mark every result state closed first: a recovery triggered *during*
-        # cleanup must not try to verify/reposition tables we just dropped;
-        # an abandoned open transaction is implicitly rolled back, not replayed
+        # forget every result first: a recovery triggered *during* cleanup
+        # must not try to verify/reposition tables we just dropped; an
+        # abandoned open transaction is implicitly rolled back, not replayed
         try:
             self.flush_dml_batch()  # queued autobatch DML must land before cleanup
         except Error:
             pass  # best-effort: close() reclaims what it can either way
-        for state in self.results.values():
-            state.open = False
+        self.results.clear()
         self.txn_log.clear()
         with get_tracer().span("session.close", corr=self.correlation_id):
             attempts = max(1, self.config.max_operation_retries)

@@ -63,15 +63,11 @@ class PhoenixCursor:
         self._reset_result()
 
     def _reset_result(self) -> None:
-        # the previous result is unreachable from here on: close it exactly
-        # as close() does, so recovery stops verifying and repositioning it
-        if self._state is not None:
-            self._state.open = False
+        self._drop_state()
         self.description: list[tuple] | None = None
         self.rowcount: int = -1
         self.messages: list[str] = []
         self.effective_cursor_type: str = CursorType.FORWARD_ONLY
-        self._state = None
         self._buffer: list[tuple] = []
         self._buffer_pos = 0
         self._done = True
@@ -179,6 +175,7 @@ class PhoenixCursor:
         self._absorb_response(connection._app_execute(rewritten_sql))
 
     def _execute_query(self, select: ast.Select) -> None:
+        self._drop_state()  # an earlier SELECT of the same script
         connection = self.connection
         requested = self.attrs[StatementAttr.CURSOR_TYPE]
 
@@ -294,7 +291,7 @@ class PhoenixCursor:
             self._buffer = list(response.rows)
             self._buffer_pos = 0
             self._done = False
-            self._state = None  # plain buffered rows, no materialized state
+            self._drop_state()  # plain buffered rows, no materialized state
         elif response.kind == "rowcount":
             self.rowcount = response.rowcount
             if response.message:
@@ -428,6 +425,13 @@ class PhoenixCursor:
     def setoutputsize(self, size, column=None) -> None:
         """DB-API no-op: results carry no size limits."""
 
+    def _drop_state(self) -> None:
+        """Forget the current result.  The application can no longer read
+        it, so recovery must neither verify nor reposition it."""
+        if self._state is not None:
+            self.connection.results.pop(self._state.seq, None)
+            self._state = None
+
     def __enter__(self) -> "PhoenixCursor":
         return self
 
@@ -439,8 +443,7 @@ class PhoenixCursor:
     def close(self) -> None:
         if self.closed:
             return
-        if self._state is not None:
-            self._state.open = False
+        self._drop_state()
         self.closed = True
 
     def _require_open(self) -> None:

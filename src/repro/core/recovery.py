@@ -256,8 +256,7 @@ class PhoenixRecovery:
                 pass
         connection.app = connection.driver.connect(connection.user, connection.options)
         for name, value in connection.set_log:
-            rendered = value if isinstance(value, (int, float)) else f"'{value}'"
-            connection.app.execute(f"SET {name} {rendered}")
+            connection.app.set_option(name, value)
         connection.app.execute(f"CREATE TABLE {PROXY_TABLE} (x INT)")
         connection.private = connection.driver.connect(connection.user, {})
         connection.private.execute(
@@ -305,8 +304,6 @@ class PhoenixRecovery:
         connection = self.connection
         tracer = get_tracer()
         for state in connection.results.values():
-            if not state.open:
-                continue
             try:
                 connection.private.execute(f"SELECT count(*) FROM {state.table}")
                 tracer.event("recovery.verify_table", table=state.table, ok=True)
@@ -322,7 +319,7 @@ class PhoenixRecovery:
         blocks is an independent query over persistent tables."""
         connection = self.connection
         for state in connection.results.values():
-            if not state.open or state.kind != "default":
+            if state.kind != "default":
                 continue
             self._reposition(state)
 

@@ -41,7 +41,6 @@ class ResultState:
     last_key: Any = None  # dynamic cursors: last key seen by the app
     key_count: int | None = None  # keyset: number of captured keys
     keys_exhausted: bool = False  # dynamic: walked past the captured keys
-    open: bool = True
     #: delivery mode: "buffered" (normal default result set, client buffer),
     #: "server_cursor" (post-recovery, server-side repositioned cursor),
     #: "rebuffered" (post-recovery client-side reposition, ablation A3).

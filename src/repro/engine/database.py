@@ -278,25 +278,12 @@ class Database:
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE)
 
     def lock_row_read(self, txn: Transaction, table_name: str, rowid: int) -> None:
-        """IS on the table, then S on the row; degrades to the whole-table
-        shared lock when row locking is disabled (ablation baseline)."""
-        if not self.locks.row_locking:
-            self.lock_read(txn, table_name)
-            return
+        """IS on the table, then S on the row."""
         self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_SHARED)
         self.locks.acquire(txn.txn_id, table_name, LockMode.SHARED, row=rowid)
 
     def lock_row_write(self, txn: Transaction, table_name: str, rowid: int) -> None:
-        """IX on the table, then X on the row.
-
-        When row locking is disabled this takes the whole-table X lock in
-        one step rather than IX-then-upgrade — two baseline transactions
-        both holding IX and upgrading would deadlock on each other, a
-        conflict the pre-row-locking design never had.
-        """
-        if not self.locks.row_locking:
-            self.lock_write(txn, table_name)
-            return
+        """IX on the table, then X on the row."""
         self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
 
@@ -316,14 +303,10 @@ class Database:
         """
         table = self.get_table(table_name)
         row = table.schema.coerce_row(values)
-        if self.locks.row_locking:
-            self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
-            rowid = table.data.next_rowid
-            self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
-            rowid = table.data.next_rowid
-        else:
-            self.lock_write(txn, table_name)
-            rowid = table.data.next_rowid
+        self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
+        rowid = table.data.next_rowid
+        self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
+        rowid = table.data.next_rowid
         table.check_insert(row)
         record = self._log(
             txn,

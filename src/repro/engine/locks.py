@@ -201,9 +201,6 @@ class LockManager:
         self.default_timeout = 0.0
         #: row locks per (txn, table) before escalating to a table lock
         self.escalation_threshold = DEFAULT_ESCALATION_THRESHOLD
-        #: ablation switch: False degrades every row request to its table
-        #: lock (the pre-row-locking behaviour, kept for A/B benchmarks)
-        self.row_locking = True
         #: bumped by :meth:`invalidate` (server crash) so sleepers learn the
         #: engine they were waiting on no longer exists
         self._generation = 0
@@ -315,19 +312,13 @@ class LockManager:
         with self._cond:
             self.stats.acquires += 1
             if row is not None:
-                if not self.row_locking:
-                    row = None  # ablation baseline: row requests hit the table
-                else:
-                    self.stats.row_acquires += 1
-                    table_mode = self._locks.get((table, None), {}).get(txn_id)
-                    if table_mode is not None and table_mode in _COVERS_ROW[mode]:
-                        return
-                    if (
-                        self._row_counts.get((txn_id, table), 0)
-                        >= self.escalation_threshold
-                    ):
-                        self._escalate(txn_id, table, mode, timeout)
-                        return
+                self.stats.row_acquires += 1
+                table_mode = self._locks.get((table, None), {}).get(txn_id)
+                if table_mode is not None and table_mode in _COVERS_ROW[mode]:
+                    return
+                if self._row_counts.get((txn_id, table), 0) >= self.escalation_threshold:
+                    self._escalate(txn_id, table, mode, timeout)
+                    return
             self._acquire_resource(txn_id, (table, row), mode, timeout)
 
     def _escalate(

@@ -142,7 +142,7 @@ class ExecutorStats:
         self.index_range_scans = 0
         #: ORDER BY ... LIMIT served by index-ordered streaming (no sort)
         self.topk_shortcuts = 0
-        #: SELECT plans compiled in vectorized (row-closure) mode
+        #: SELECT plans compiled (row-closure pipeline)
         self.compiled_plans = 0
 
     def reset(self) -> None:

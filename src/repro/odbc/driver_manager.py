@@ -14,7 +14,6 @@ demonstrating the paper's "no changes to app, driver, or server" claim.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from repro import errors
@@ -106,22 +105,6 @@ class Connection:
         statement = Statement(self)
         self._statements.append(statement)
         return statement
-
-    def set_option(self, name: str, value: Any) -> None:
-        """Deprecated spelling of ``cursor().execute("SET name value")`` —
-        kept because existing applications call it; new code should issue
-        the SQL, which travels (and replays) like every other statement."""
-        warnings.warn(
-            "Connection.set_option is deprecated; execute 'SET <name> <value>' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._set_option(name, value)
-
-    def _set_option(self, name: str, value: Any) -> None:
-        self._require_open()
-        self.options[name] = value
-        self._driver_connection.set_option(name, value)
 
     def begin(self) -> None:
         self._execute_raw("BEGIN TRANSACTION")

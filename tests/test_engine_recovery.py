@@ -346,29 +346,75 @@ def test_losers_closed_with_abort_records(server):
     assert server.restart().loser_txns == []
 
 
-def test_fast_and_undo_walk_restart_agree_without_checkpoints(server):
-    # with no checkpoint overlapping anything, the retired undo-walking path
-    # is still correct — pin that both restarts produce identical state
-    from repro.engine.recovery import recover
-
+def test_restart_restores_rows_committed_before_loser_began(server):
     sid = server.connect()
     execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(5))")
     execute(server, sid, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
     execute(server, sid, "UPDATE t SET v = 'B' WHERE k = 2")
+    committed = rows(server, "SELECT k, v FROM t ORDER BY k")
     execute(server, sid, "BEGIN")
     execute(server, sid, "DELETE FROM t WHERE k = 1")
+    execute(server, sid, "INSERT INTO t VALUES (3, 'c')")
     other = server.connect()
     execute(server, other, "CREATE TABLE other_t (x INT)")
     server.crash()
-    # recovery closes losers by appending to the log, so each mode gets its
-    # own copy of the crashed storage
-    import copy
+    server.restart()
+    assert committed == [(1, "a"), (2, "B")]
+    assert rows(server, "SELECT k, v FROM t ORDER BY k") == committed
 
-    fast, _ = recover(copy.deepcopy(server.storage), fast_restart=True)
-    slow, _ = recover(copy.deepcopy(server.storage), fast_restart=False)
-    assert (
-        fast.get_table("t").data.rows == slow.get_table("t").data.rows
-    ) and fast.get_table("t").data.rows
+
+def _storage_with_losers(committed_txns: int, losers: int, ops_per_txn: int):
+    """``committed_txns`` transactions of ``ops_per_txn`` inserts each, a
+    quiescent checkpoint, then ``losers`` transactions each updating its own
+    ``ops_per_txn`` rows and left open at the crash."""
+    from repro.engine.database import Database
+    from repro.engine.schema import Column, TableSchema
+    from repro.engine.values import SqlType
+
+    database = Database(InMemoryStableStorage())
+    setup = database.begin()
+    database.create_table(
+        setup,
+        TableSchema(
+            "t",
+            (Column("k", SqlType.INT, not_null=True), Column("v", SqlType.VARCHAR)),
+            primary_key=("k",),
+        ),
+    )
+    database.commit(setup)
+    key = 0
+    for _ in range(committed_txns):
+        txn = database.begin()
+        for _ in range(ops_per_txn):
+            database.insert_row(txn, "t", [key, f"v{key}"])
+            key += 1
+        database.commit(txn)
+    database.checkpoint()
+    for loser in range(losers):
+        txn = database.begin()
+        for offset in range(ops_per_txn):
+            k = loser * ops_per_txn + offset
+            database.update_row(txn, "t", k + 1, [k, "dirty"])  # rowids from 1
+    database.wal.force()
+    return database.storage
+
+
+def test_restart_past_checkpoint_scans_only_the_log_since_it():
+    """Work counters, not timings: with 16 losers of 4 updates past a
+    checkpoint, restart reads the checkpoint record plus the losers' 80
+    records (not the 683 the whole history holds) and skips the 64
+    updates without applying or undoing any of them."""
+    from repro.engine.recovery import recover
+
+    database, report = recover(_storage_with_losers(100, 16, 4))
+    assert report.records_scanned == 81
+    assert report.records_skipped == 64
+    assert report.records_redone == 0
+    assert len(report.loser_txns) == 16
+    table = database.get_table("t")
+    assert [table.data.rows[rowid] for rowid in sorted(table.data.rows)] == [
+        (k, f"v{k}") for k in range(400)
+    ]
 
 
 def test_rowids_never_reused_after_loser_skipped(server):

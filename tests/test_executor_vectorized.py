@@ -7,9 +7,10 @@ access paths"):
   sorted postings incrementally — equality probes stop re-sorting per
   call, range probes are bisect slices, and ordered iteration matches a
   stable ``sort_key`` sort exactly (NULLS first ascending).
-* The compiled (vectorized) executor and the interpreted baseline return
-  byte-identical results over range / BETWEEN / ORDER BY ... LIMIT
-  workloads — the fingerprint guard that makes the perf work safe.
+* Range probes and index-ordered top-k return byte-identical results to
+  an index-free twin (same rows, no ``CREATE INDEX``: every query full-
+  scans and sorts) over range / BETWEEN / ORDER BY ... LIMIT workloads,
+  and scan exactly the rows they return.
 * Index maintenance stays consistent across rollback, crash recovery,
   escalated row locks, and AS OF time-travel reconstruction, because
   every one of those paths routes through the same Table primitives.
@@ -79,17 +80,13 @@ def test_ordered_index_remove_cleans_empty_keys():
     index.remove(None, 1)
 
 
-# ---------------------------------------------------- compiled vs interpreted
+# ------------------------------------------------ indexed vs index-free twin
 
 
 def _seeded_pair():
-    """Two servers with identical data, one per executor mode."""
+    """Two servers with identical data: the first with ordered indexes on
+    ``v`` and ``s``, the second (the reference) without any."""
     rng = random.Random(17)
-    ddl = [
-        "CREATE TABLE t (k INT PRIMARY KEY, v INT, s VARCHAR(10))",
-        "CREATE INDEX iv ON t (v)",
-        "CREATE INDEX istr ON t (s)",
-    ]
     rows = []
     for k in range(300):
         v = "NULL" if rng.random() < 0.1 else str(rng.randrange(40))
@@ -97,10 +94,11 @@ def _seeded_pair():
         rows.append(f"({k}, {v}, {s})")
     dml = "INSERT INTO t VALUES " + ", ".join(rows)
     pair = []
-    for mode in ("compiled", "interpreted"):
-        server = DatabaseServer(executor=mode)
+    for indexes in (["CREATE INDEX iv ON t (v)", "CREATE INDEX istr ON t (s)"], []):
+        server = DatabaseServer()
         sid = server.connect()
-        for sql in ddl:
+        execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT, s VARCHAR(10))")
+        for sql in indexes:
             execute(server, sid, sql)
         execute(server, sid, dml)
         pair.append((server, sid))
@@ -125,45 +123,91 @@ PARITY_QUERIES = [
 ]
 
 
-def test_compiled_matches_interpreted_fingerprints():
-    (cs, cid), (is_, iid) = _seeded_pair()
+def test_compiled_matches_index_free_twin_fingerprints():
+    (xs, xid), (ts, tid) = _seeded_pair()
     for sql in PARITY_QUERIES:
-        assert execute(cs, cid, sql) == execute(is_, iid, sql), sql
+        assert execute(xs, xid, sql) == execute(ts, tid, sql), sql
+    # the twin really is the full-scan reference
+    plans = "\n".join(
+        row[0] for sql in PARITY_QUERIES for row in execute(ts, tid, f"EXPLAIN {sql}")
+    )
+    assert "IndexRange" not in plans and "TopK" not in plans
 
 
 def test_range_probe_error_parity_on_incomparable_bound():
-    """A range bound the column type can't coerce must raise identically in
-    both modes (the probe falls back to a full scan so the per-row compare
-    surfaces the same DataError), not silently return zero rows."""
-    (cs, cid), (is_, iid) = _seeded_pair()
-    for server, sid in ((cs, cid), (is_, iid)):
+    """A range bound the column type can't coerce must raise exactly as the
+    full scan does (the probe falls back to a full scan so the per-row
+    compare surfaces the same DataError), not silently return zero rows."""
+    for server, sid in _seeded_pair():
         with pytest.raises(DataError):
             execute(server, sid, "SELECT k FROM t WHERE v > 'abc'")
 
 
 def test_null_range_bound_matches_nothing_in_both_modes():
-    (cs, cid), (is_, iid) = _seeded_pair()
+    (xs, xid), (ts, tid) = _seeded_pair()
     sql = "SELECT k FROM t WHERE v > NULL"
-    assert execute(cs, cid, sql) == execute(is_, iid, sql) == []
+    assert execute(xs, xid, sql) == execute(ts, tid, sql) == []
 
 
 def test_topk_ties_resolved_identically():
     """Duplicate ORDER BY keys: index-ordered streaming must reproduce the
     stable-sort tie order (postings ascend by rowid) for asc and desc."""
-    for mode in ("compiled", "interpreted"):
-        server = DatabaseServer(executor=mode)
+    results = []
+    for indexed in (True, False):
+        server = DatabaseServer()
         sid = server.connect()
         execute(server, sid, "CREATE TABLE d (k INT PRIMARY KEY, v INT)")
-        execute(server, sid, "CREATE INDEX dv ON d (v)")
+        if indexed:
+            execute(server, sid, "CREATE INDEX dv ON d (v)")
         execute(
             server, sid,
             "INSERT INTO d VALUES " + ", ".join(f"({i}, {i % 3})" for i in range(30)),
         )
-        asc = execute(server, sid, "SELECT k, v FROM d ORDER BY v LIMIT 12")
-        desc = execute(server, sid, "SELECT k, v FROM d ORDER BY v DESC LIMIT 12")
-        if mode == "compiled":
-            got_asc, got_desc = asc, desc
-    assert got_asc == asc and got_desc == desc
+        results.append((
+            execute(server, sid, "SELECT k, v FROM d ORDER BY v LIMIT 12"),
+            execute(server, sid, "SELECT k, v FROM d ORDER BY v DESC LIMIT 12"),
+        ))
+    assert results[0] == results[1]
+
+
+def test_range_and_topk_scan_only_the_rows_they_return():
+    """The access-path gate as a work counter: range, BETWEEN, equality and
+    ORDER BY ... LIMIT statements over an ordered index read exactly the
+    rows they return, where the index-free twin reads the whole table for
+    every statement."""
+    rows, values = 1000, 500  # two rows per distinct indexed value
+    window = values // 50
+    statements = []
+    for i in range(8):
+        low = (i * 131) % (values - window)
+        statements += [
+            f"SELECT k, v FROM e WHERE v >= {low} AND v < {low + window} ORDER BY k",
+            f"SELECT k FROM e WHERE v BETWEEN {low} AND {low + window} ORDER BY k",
+            f"SELECT k, v FROM e WHERE v > {values - window} ORDER BY v LIMIT 10",
+            "SELECT k, v FROM e ORDER BY v LIMIT 10",
+            "SELECT k, v FROM e ORDER BY v DESC LIMIT 10",
+            f"SELECT k FROM e WHERE v = {low}",
+        ]
+    answers, counters = [], []
+    for with_index in (True, False):
+        system = repro.make_system(dsn="exec-work")
+        server = system.server
+        sid = server.connect()
+        execute(server, sid, "CREATE TABLE e (k INT PRIMARY KEY, v INT)")
+        execute(
+            server, sid,
+            "INSERT INTO e VALUES "
+            + ", ".join(f"({k}, {k % values})" for k in range(rows)),
+        )
+        if with_index:
+            execute(server, sid, "CREATE INDEX ev ON e (v)")
+        system.registry.reset()
+        answers.append([execute(server, sid, sql) for sql in statements])
+        counters.append(system.registry.snapshot()["executor"])
+    assert answers[0] == answers[1]
+    indexed, twin = counters
+    assert indexed["rows_scanned"] == indexed["rows_returned"] == twin["rows_returned"]
+    assert twin["rows_scanned"] == len(statements) * rows
 
 
 # --------------------------------------------------------------- EXPLAIN
@@ -207,23 +251,6 @@ def test_explain_eq_probe_outranks_range(indexed):
     server, sid = indexed
     plan = _explain(server, sid, "SELECT k FROM t WHERE v = 3 AND v < 9")
     assert "IndexScan t (v = const)" in plan and "IndexRange" not in plan
-
-
-def test_interpreted_mode_plans_stay_baseline():
-    server = DatabaseServer(executor="interpreted")
-    sid = server.connect()
-    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
-    execute(server, sid, "CREATE INDEX iv ON t (v)")
-    execute(server, sid, "INSERT INTO t VALUES (1, 1), (2, 2)")
-    plan = _explain(server, sid, "SELECT k FROM t WHERE v > 1 ORDER BY v LIMIT 1")
-    assert "IndexRange" not in plan and "TopK" not in plan
-    assert "[compiled]" not in plan
-    assert "Scan t" in plan and "Sort v" in plan
-
-
-def test_executor_mode_validated():
-    with pytest.raises(ValueError):
-        DatabaseServer(executor="jit")
 
 
 # --------------------------------------------------------------- counters

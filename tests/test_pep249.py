@@ -9,8 +9,6 @@ switch the application picks.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -199,13 +197,6 @@ def test_setinputsizes_and_setoutputsize_are_noops(conn):
     cursor.setoutputsize(128)
     cursor.execute("SELECT 1")
     assert cursor.fetchone() == (1,)
-
-
-def test_set_option_deprecated_but_functional(conn):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        conn.set_option("lock_timeout", 5000)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
 
 def test_plan_cache_shared_across_qmark_bindings(system):

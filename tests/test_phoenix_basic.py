@@ -156,7 +156,7 @@ def test_temp_procedure_redirected(system, both):
 
 def test_set_option_recorded_and_forwarded(system, both):
     _plain, phoenix = both
-    phoenix.set_option("app_mode", "strict")
+    phoenix.cursor().execute("SET app_mode 'strict'")
     assert ("app_mode", "strict") in phoenix.set_log
     app_session = system.server.sessions[phoenix.app.session_id]
     assert app_session.options["app_mode"] == "strict"
@@ -202,9 +202,20 @@ def test_cursor_close_releases_result_state(system, both):
     cur = phoenix.cursor()
     cur.execute("SELECT * FROM customer")
     state = cur._state
-    assert state.open
+    assert phoenix.results[state.seq] is state
     cur.close()
-    assert not state.open
+    assert state.seq not in phoenix.results
+
+
+def test_reexecuted_cursor_keeps_one_result_state(both):
+    _plain, phoenix = both
+    cur = phoenix.cursor()
+    for _ in range(5):
+        cur.execute("SELECT * FROM customer")
+        cur.fetchall()
+    assert list(phoenix.results) == [cur._state.seq]
+    phoenix.close()
+    assert phoenix.results == {}
 
 
 def test_multiple_cursors_independent(both):

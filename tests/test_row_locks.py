@@ -99,15 +99,6 @@ def test_table_x_covers_row_requests():
     assert locks.row_locks_held(1, "t") == 0
 
 
-def test_row_locking_off_degrades_to_table_locks():
-    locks = LockManager()
-    locks.row_locking = False
-    locks.acquire(1, "t", LockMode.X, row=1)
-    assert locks.held(1, "t") is LockMode.X  # the ablation baseline
-    with pytest.raises(LockError):
-        locks.acquire(2, "t", LockMode.X, row=2)
-
-
 # ------------------------------------------------------------ escalation
 
 
